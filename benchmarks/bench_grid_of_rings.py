@@ -21,7 +21,7 @@ from conftest import report
 
 from repro.analysis.tables import render_table
 from repro.core import Message, RMBConfig, RMBRing
-from repro.grid import RMBGrid, RMBLattice
+from repro.hier import RMBGrid, RMBLattice
 from repro.networks import MeshNetwork
 from repro.sim import RandomStream
 
@@ -43,10 +43,10 @@ def scattered_pairs(count, rng):
 def run_grid(pairs):
     grid = RMBGrid(SIDE, SIDE, lanes=LANES, check_invariants=False)
     for index, (source, destination) in enumerate(pairs):
-        grid.submit(index, source, destination, data_flits=FLITS)
+        grid.submit(Message(index, source, destination, data_flits=FLITS,
+                            created_at=grid.sim.now))
     makespan = grid.drain()
-    tally = grid.latency_tally()
-    return makespan, tally.mean
+    return makespan, grid.journey_run_stats().latency.mean
 
 
 def run_flat_ring(pairs):
@@ -75,9 +75,10 @@ def run_lattice_3d(count, rng):
     for index in range(count):
         source = rng.randint(0, nodes - 1)
         destination = (source + rng.randint(1, nodes - 1)) % nodes
-        lattice.submit(index, source, destination, data_flits=FLITS)
+        lattice.submit(Message(index, source, destination, data_flits=FLITS,
+                               created_at=lattice.sim.now))
     makespan = lattice.drain()
-    return makespan, lattice.latency_tally().mean
+    return makespan, lattice.journey_run_stats().latency.mean
 
 
 def run_comparison():

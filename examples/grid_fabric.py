@@ -15,7 +15,8 @@ from __future__ import annotations
 import sys
 
 from repro.analysis import render_table
-from repro.grid import RMBGrid
+from repro.core import Message
+from repro.hier import RMBGrid
 from repro.sim import RandomStream
 
 
@@ -31,16 +32,18 @@ def main() -> None:
     for index in range(count):
         source = rng.randint(0, nodes - 1)
         destination = (source + rng.randint(1, nodes - 1)) % nodes
-        grid.submit(index, source, destination, data_flits=16)
+        grid.submit(Message(index, source, destination, data_flits=16,
+                            created_at=grid.sim.now))
 
     makespan = grid.drain()
-    tally = grid.latency_tally()
-    single = [record for record in grid.records.values()
-              if record.legs_total == 1]
-    double = [record for record in grid.records.values()
-              if record.legs_total == 2]
+    stats = grid.journey_run_stats()
+    tally = stats.latency
+    single = [journey for journey in grid.journeys.values()
+              if journey.hops == 1]
+    double = [journey for journey in grid.journeys.values()
+              if journey.hops == 2]
 
-    print(f"{grid.describe()}: {grid.completed()}/{count} journeys "
+    print(f"{grid.describe()}: {stats.completed}/{count} journeys "
           f"completed in {makespan:.0f} ticks\n")
     rows_out = [
         {"metric": "mean journey latency", "value": round(tally.mean, 1)},
@@ -50,11 +53,11 @@ def main() -> None:
         {"metric": "two-leg journeys (row then column)",
          "value": len(double)},
         {"metric": "mean wait before the turn",
-         "value": round(grid.turn_latency.mean, 1)},
+         "value": round(grid.turn_latency().mean, 1)},
     ]
     print(render_table(rows_out, title="Grid fabric summary"))
 
-    busiest = max(grid.row_rings + grid.col_rings,
+    busiest = max(grid.rings.values(),
                   key=lambda ring: ring.routing.completed)
     print(f"\nbusiest ring: {busiest.name} carried "
           f"{busiest.routing.completed} legs, "

@@ -15,13 +15,15 @@ The package provides:
 * :mod:`repro.analysis` — Section 3.2 cost models, bisection bandwidth,
   offline-optimal scheduling and competitiveness, the tick-exact latency
   model, the experiment registry, table rendering.
-* :mod:`repro.grid` — 2-D grids and n-D lattices of RMB rings (the
-  paper's future-work direction for grid-connected computers).
+* :mod:`repro.hier` — multi-ring fabrics on one simulator: the two-ring
+  RMB, local rings bridged by a global ring, and 2-D grids and n-D
+  lattices of RMB rings (the paper's future-work direction for
+  grid-connected computers).
 * :mod:`repro.apps` — application workloads: HPC collectives, real-time
   stream sessions with deadlines, access-fairness metrics.
 
-A command-line interface is available as ``python -m repro`` (run, race,
-cost, trace).
+A command-line interface is available as ``python -m repro`` (run, arena,
+saturate, cost, trace, ...).
 
 Quickstart::
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.flits import Message
 from repro.errors import WorkloadError
-from repro.grid.rmb_grid import RMBGrid
+from repro.hier.lattice import RMBGrid
 from repro.sim.monitor import Tally
 
 
@@ -101,14 +102,15 @@ def run_stencil(
                 north = grid.node_id((row - 1) % rows, col)
                 for neighbour, forward in ((east, True), (west, False),
                                            (south, True), (north, False)):
-                    grid.submit(message_id, node, neighbour,
-                                data_flits=halo_flits)
+                    grid.submit(Message(message_id, node, neighbour,
+                                        data_flits=halo_flits,
+                                        created_at=grid.sim.now))
                     round_ids.append((message_id, forward))
                     message_id += 1
         grid.drain(max_ticks=4_000_000)
         result.iteration_ticks.append(grid.sim.now - start)
         for submitted_id, forward in round_ids:
-            latency = grid.records[submitted_id].latency()
+            latency = grid.journeys[submitted_id].latency()
             if latency is None:  # pragma: no cover - drain guarantees done
                 continue
             if forward:

@@ -6,7 +6,8 @@ any code:
 * ``run`` — simulate traffic on one RMB ring and print statistics;
 * ``chaos`` — soak the ring under a seeded chaos schedule with invariant
   monitors (and, by default, the recovery manager) armed;
-* ``race`` — route one permutation family across the comparison networks;
+* ``arena`` — replay identical traffic patterns across the comparison
+  networks and rank them;
 * ``cost`` — print the Section 3.2 hardware cost table;
 * ``trace`` — render the compaction process frame by frame (Figures 2/3);
 * ``selfcheck`` — validate the protocol implementation in seconds;
@@ -19,25 +20,12 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis import cost_table, render_comparison, render_table
+from repro.analysis import cost_table, render_table
 from repro.core import Message, RMBConfig, RMBRing
 from repro.core.trace_render import render_grid
-from repro.networks import (
-    EXTRA_NETWORKS,
-    PAPER_NETWORKS,
-    build_network,
-    make_batch,
-    permutation_pairs,
-)
 from repro.arena import DEFAULT_NETWORKS
 from repro.sim import RandomStream
-from repro.traffic import (
-    ARRIVALS,
-    FAMILIES,
-    bernoulli_schedule,
-    generate,
-    replay_on_ring,
-)
+from repro.traffic import ARRIVALS, bernoulli_schedule, replay_on_ring
 
 
 def _add_geometry(parser: argparse.ArgumentParser) -> None:
@@ -143,13 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--spans-out", default=None, metavar="PATH",
                      help="write per-message span events as JSONL "
                           "(implies --obs-level full unless set)")
-
-    race = commands.add_parser(
-        "race", help="race one permutation across all networks")
-    _add_geometry(race)
-    race.add_argument("--family", choices=sorted(FAMILIES),
-                      default="random", help="permutation family")
-    race.add_argument("--flits", "-f", type=int, default=16)
 
     arena = commands.add_parser(
         "arena",
@@ -679,26 +660,6 @@ def command_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def command_race(args: argparse.Namespace) -> int:
-    rng = RandomStream(args.seed, name="cli")
-    perm = generate(args.family, args.nodes, rng)
-    batch_pairs = permutation_pairs(perm)
-    rows = []
-    for name in PAPER_NETWORKS + EXTRA_NETWORKS:
-        network = build_network(name, args.nodes, args.lanes,
-                                seed=args.seed)
-        result = network.route_batch(
-            make_batch(batch_pairs, data_flits=args.flits),
-            max_ticks=2_000_000,
-        )
-        rows.append(result.row())
-    print(render_comparison(
-        f"{args.family} permutation, N={args.nodes}, k={args.lanes}",
-        rows, baseline_key="rmb", value_key="makespan",
-    ))
-    return 0
-
-
 def command_arena(args: argparse.Namespace) -> int:
     from repro.arena import run_arena
     from repro.errors import ReproError
@@ -985,7 +946,6 @@ def _explore_consistency(args: argparse.Namespace) -> int:
 COMMANDS = {
     "run": command_run,
     "chaos": command_chaos,
-    "race": command_race,
     "arena": command_arena,
     "saturate": command_saturate,
     "cost": command_cost,

@@ -1,6 +1,6 @@
 """Discrete-event simulation substrate.
 
-A self-contained kernel (events, processes, resources), clock domains with
+A self-contained kernel (events and processes), clock domains with
 skew/jitter for modelling asynchronous hardware, deterministic named random
 streams, tracing, and measurement probes.
 """
@@ -16,7 +16,6 @@ from repro.sim.events import (
 from repro.sim.kernel import Simulator, every
 from repro.sim.monitor import Counter, PeriodicProbe, Tally, TimeSeries, percentile
 from repro.sim.process import Process, Waitable, all_of, any_of
-from repro.sim.resources import Resource, Store
 from repro.sim.rng import RandomStream, SeedSequence
 from repro.sim.trace import TraceEntry, TraceRecorder
 
@@ -31,10 +30,8 @@ __all__ = [
     "PeriodicProbe",
     "Process",
     "RandomStream",
-    "Resource",
     "SeedSequence",
     "Simulator",
-    "Store",
     "Tally",
     "TimeSeries",
     "TraceEntry",
