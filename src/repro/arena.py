@@ -145,7 +145,8 @@ def run_arena(
     Args:
         patterns: pattern specs (see
             :func:`repro.traffic.patterns.make_pattern`).
-        networks: registry names; unknown names raise before any run.
+        networks: registry names; unknown names raise before any run,
+            as do unknown pattern specs.
         rounds: batch rounds per pattern (k-permutations are usually
             raced over several rounds so segment reuse matters).
         prebuilt: optional spec -> schedule overrides, letting callers
@@ -163,9 +164,10 @@ def run_arena(
             f"choose from {arena_network_choices()} "
             f"(hier also accepts an explicit split, e.g. hier:4x8)"
         )
+    built = [(spec, make_pattern(spec, nodes, k=lanes, seed=seed))
+             for spec in patterns]
     sections = []
-    for spec in patterns:
-        pattern = make_pattern(spec, nodes, k=lanes, seed=seed)
+    for spec, pattern in built:
         if prebuilt is not None and spec in prebuilt:
             schedule = prebuilt[spec]
         else:
