@@ -198,15 +198,18 @@ class BatchRing:
         # *active* header moved last pass (or was just injected) and is
         # re-attempted; a *stalled* one had no usable candidate lane and
         # — since claims only remove usability — stays immobile until
-        # its next column gains a cell (``col_epoch`` changes).  Stalled
+        # its next column gains a cell or its head column moves it to
+        # another entry lane (either ``col_epoch`` changes).  Stalled
         # rows cost one vectorized stall-tick per pass.
         self._ext_active: List[int] = []
         self._ext_stalled: List[int] = []
         self._ext_stalled_seg: List[int] = []
         self._ext_stalled_epoch: List[int] = []
+        self._ext_stalled_head_epoch: List[int] = []
         self._stalled_arr: np.ndarray = _EMPTY
         self._stalled_seg: np.ndarray = _EMPTY
         self._stalled_epoch: np.ndarray = _EMPTY
+        self._stalled_head_epoch: np.ndarray = _EMPTY
         self._stalled_dirty = True
         #: Upper bound on the stall count of any stalled row — the
         #: vectorized timeout check only runs once this bound crosses
@@ -996,8 +999,10 @@ class BatchRing:
         Claims made during a pass only *remove* usability, so a header
         with no usable candidate lane at pass start cannot move
         mid-pass — and, between passes, it can only become movable once
-        its next column gains a cell (a release, a compaction move or a
-        repair bumps that column's ``col_epoch``).  Stalled headers
+        its next column gains a cell or a compaction move shifts its
+        head (a release, a move or a repair bumps that column's
+        ``col_epoch``; heads move only under
+        ``compact_head_while_extending``).  Stalled headers
         therefore cost one vectorized stall-tick per pass; only active
         headers (injected or moved last pass) and freshly woken ones
         run the exact scalar step, merged in bus-creation order — two
@@ -1015,8 +1020,12 @@ class BatchRing:
                                              dtype=np.intp)
                 self._stalled_epoch = np.array(self._ext_stalled_epoch,
                                                dtype=np.int64)
+                self._stalled_head_epoch = np.array(
+                    self._ext_stalled_head_epoch, dtype=np.int64)
                 self._stalled_dirty = False
-            woken = st.col_epoch[self._stalled_seg] != self._stalled_epoch
+            woken = ((st.col_epoch[self._stalled_seg] != self._stalled_epoch)
+                     | (st.col_epoch[self._stalled_seg - 1]
+                        != self._stalled_head_epoch))
             if woken.any():
                 attempts = attempts + self._stalled_arr[woken].tolist()
                 keep = ~woken
@@ -1078,18 +1087,22 @@ class BatchRing:
         self._stalled_arr = self._stalled_arr[keep]
         self._stalled_seg = self._stalled_seg[keep]
         self._stalled_epoch = self._stalled_epoch[keep]
+        self._stalled_head_epoch = self._stalled_head_epoch[keep]
         self._ext_stalled = self._stalled_arr.tolist()
         self._ext_stalled_seg = self._stalled_seg.tolist()
         self._ext_stalled_epoch = self._stalled_epoch.tolist()
+        self._ext_stalled_head_epoch = self._stalled_head_epoch.tolist()
 
     def _stall_row(self, row: int) -> None:
         """Move an active header to the stalled set, snapshotting its
-        column epoch *now* (frees before the next pass must wake it)."""
+        next and head column epochs *now* (frees before the next pass
+        must wake it)."""
         st = self._st
         seg = (st.src.item(row) + st.hops_len.item(row)) % self._nodes
         self._ext_stalled.append(row)
         self._ext_stalled_seg.append(seg)
         self._ext_stalled_epoch.append(st.col_epoch.item(seg))
+        self._ext_stalled_head_epoch.append(st.col_epoch.item(seg - 1))
         self._stalled_dirty = True
         stall = st.stall.item(row)
         if stall > self._stalled_max:

@@ -5,7 +5,7 @@ port ``l`` to INC ``(i+1) % N``'s input port ``l``.  The grid tracks which
 virtual bus (by id) occupies each segment; all protocol engines mutate the
 grid through this class so occupancy invariants live in one place.
 
-Alongside the 2-D occupancy array the grid maintains three derived
+Alongside the 2-D occupancy array the grid maintains four derived
 structures that keep the per-cycle engines off full ``N x k`` scans:
 
 * an **occupancy index** ``(segment, lane) -> bus_id`` so iterating the
@@ -14,7 +14,13 @@ structures that keep the per-cycle engines off full ``N x k`` scans:
   for the (usually tiny) set of DYING/DEAD segments;
 * a **dirty-segment set**: every mutation records which segment column
   changed, and the compaction engine drains this set each cycle to limit
-  its candidate search to neighbourhoods where something actually moved.
+  its candidate search to neighbourhoods where something actually moved;
+* a **column epoch** per segment column, bumped by every mutation that
+  can make a cell of the column usable or move a bus within it
+  (releases, moves, health changes) but not by claims, which only
+  remove usability.  The routing engine parks a stalled header on the
+  epochs of its head and next columns and re-polls it only when one
+  changes.
 """
 
 from __future__ import annotations
@@ -51,12 +57,21 @@ class SegmentGrid:
         self._faulty_count = 0
         self._faulty_index: dict[tuple[int, int], PortHealth] = {}
         self._dirty: set[int] = set()
+        self.col_epoch: list[int] = [0] * nodes
         # Cumulative segment-ticks are integrated externally; the grid
         # keeps simple structural counters only.
         self.total_claims = 0
         self.total_releases = 0
         self.total_faults = 0
         self.total_repairs = 0
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__dict__.update(state)
+        if "col_epoch" not in state:
+            # Pickled before column epochs existed.  Any start value is
+            # exact: restoring a routing engine drops its park entries,
+            # the only readers of the epochs.
+            self.col_epoch = [0] * self.nodes
 
     # ------------------------------------------------------------------
     # Queries
@@ -234,6 +249,7 @@ class SegmentGrid:
         self._occupied_count -= 1
         del self._occupied_index[(segment, lane)]
         self._dirty.add(segment)
+        self.col_epoch[segment] += 1
         self.total_releases += 1
 
     def move_down(self, segment: int, lane: int, bus_id: int) -> None:
@@ -263,6 +279,7 @@ class SegmentGrid:
         del self._occupied_index[(segment, lane)]
         self._occupied_index[(segment, lane - 1)] = bus_id
         self._dirty.add(segment)
+        self.col_epoch[segment] += 1
 
     def move_up(self, segment: int, lane: int, bus_id: int) -> None:
         """Move a bus's claim from ``lane`` to ``lane + 1`` (evacuation only).
@@ -293,6 +310,7 @@ class SegmentGrid:
         del self._occupied_index[(segment, lane)]
         self._occupied_index[(segment, lane + 1)] = bus_id
         self._dirty.add(segment)
+        self.col_epoch[segment] += 1
 
     # ------------------------------------------------------------------
     # Dirty tracking
@@ -348,3 +366,4 @@ class SegmentGrid:
         else:
             self._faulty_index[(segment, lane)] = health
         self._dirty.add(segment)
+        self.col_epoch[segment] += 1

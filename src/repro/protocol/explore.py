@@ -663,7 +663,10 @@ class _World:
         # message-id keys relabel.  Bus ids, the bus dict order, and the
         # per-bus geometry are untouched — a bus's ring position derives
         # from its message's source, so swapping the message moves it.
+        # Park entries name segment columns and their epochs; the map is
+        # a pure cache, so it is dropped rather than relabelled.
         engine = self.engine
+        engine._parked.clear()
         engine._queues = [
             deque(replace[m.message_id] for m in
                   engine._queues[(s - rotation) % nodes])

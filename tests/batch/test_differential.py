@@ -110,6 +110,17 @@ def test_dead_column_backends_agree():
     assert_identical(event, batch)
 
 
+@pytest.mark.parametrize("seed,rate", [(6, 0.2), (7, 0.1), (9, 0.05)])
+def test_head_compaction_backends_agree(seed, rate):
+    """With ``compact_head_while_extending`` a compaction move can change
+    a stalled header's entry lane, so both backends must wake it on its
+    head column's epoch as well as its next column's."""
+    config = RMBConfig(nodes=8, lanes=3, compact_head_while_extending=True)
+    event, batch = run_both(config, seed, rate, duration=200,
+                            probe_period=16)
+    assert_identical(event, batch)
+
+
 def test_no_compaction_backends_agree():
     config = RMBConfig(nodes=10, lanes=3, cycle_period=1.0, retry=BOUNDED,
                        compaction_enabled=False)

@@ -10,6 +10,10 @@ random seeds and fault plans, and requires byte-identical observables:
 the stats summary serialised as JSON, the protocol trace, the grid
 signature, every message's lifecycle timestamps, and the checkpoint
 manifest of a mid-run snapshot.
+
+The routing engine's header parking (DESIGN.md §9, P4) is checked the
+same way against an always-poll oracle, across the configurations the
+batch differential does not model.
 """
 
 from __future__ import annotations
@@ -21,8 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Message, RMBConfig, RMBRing
+from repro.core.routing import RoutingEngine
 from repro.faults import FaultEvent, FaultKind, FaultPlan
-from repro.supervision import load_snapshot_bytes, save_snapshot_bytes
+from repro.supervision import (
+    WatchdogConfig,
+    load_snapshot_bytes,
+    save_snapshot_bytes,
+)
 
 NODES = 8
 LANES = 3
@@ -74,7 +83,9 @@ def observables(ring: RMBRing) -> tuple:
         ring.trace.entries,
         ring.grid.state_signature(),
         {mid: (record.injected_at, record.established_at,
-               record.delivered_at, record.completed_at, record.retries)
+               record.delivered_at, record.completed_at, record.retries,
+               record.nacks, record.head_stall_ticks,
+               sorted(record.lanes_visited))
          for mid, record in ring.routing.records.items()},
         ring.compaction.stats.moves,
         ring.compaction.stats.evacuations,
@@ -146,3 +157,174 @@ def test_check_level_is_read_only(seed, plan, level, snapshot_at):
         seed, plan, incremental=False, check_level="full",
         snapshot_at=float(snapshot_at))
     assert fast == reference
+
+
+# ---------------------------------------------------------------------------
+# Header parking vs the always-poll oracle
+# ---------------------------------------------------------------------------
+
+class AlwaysPoll:
+    """Test-only oracle: the routing engine without header parking.
+
+    Installed as an engine's ``_advance_headers``, it empties the park
+    map before every header pass, so every stalled header takes the full
+    poll.  A class rather than a closure so it survives snapshots.
+    """
+
+    def __init__(self, engine: RoutingEngine) -> None:
+        self.engine = engine
+
+    def __call__(self) -> None:
+        self.engine._parked.clear()
+        RoutingEngine._advance_headers(self.engine)
+
+
+#: Configurations outside the batch differential's subset, each with
+#: stalled headers in play.  ``watchdog`` disables the header timeout so
+#: the watchdog, not the timeout, tears parked buses down.  Without
+#: either, the sixteen-message burst can wedge for good (stalled headers
+#: waiting on each other round the ring), which parks every header: runs
+#: are therefore compared at a fixed horizon rather than drained.
+PARKING_SCENARIOS = {
+    "sync": {},
+    "async": {"synchronous": False},
+    "head_moves": {"compact_head_while_extending": True},
+    "no_extend_up": {"extend_up": False},
+    "no_timeout": {"header_timeout": None},
+    "timeout_4": {"header_timeout": 4.0},
+    "half_flit": {"flit_period": 0.5},
+    "half_flit_timeout_4": {"flit_period": 0.5, "header_timeout": 4.0},
+    "watchdog": {"header_timeout": None},
+}
+PARKING_WATCHDOG = WatchdogConfig(period=8.0, stall_window=24.0)
+PARKING_HORIZON = 1_200.0
+
+
+def build_parking_ring(seed: int, plan: FaultPlan | None, scenario: str,
+                       multicast: bool, *, oracle: bool) -> RMBRing:
+    config = RMBConfig(nodes=NODES, lanes=LANES, retry_jitter=0.25,
+                       max_retries=8 if plan is not None else None,
+                       **PARKING_SCENARIOS[scenario])
+    ring = RMBRing(config, seed=seed, probe_period=16.0, fault_plan=plan,
+                   watchdog=PARKING_WATCHDOG if scenario == "watchdog"
+                   else None)
+    if oracle:
+        ring.routing._advance_headers = AlwaysPoll(ring.routing)
+    messages = []
+    for i in range(16):
+        source = (i * 3 + seed) % NODES
+        distance = 2 + (i + seed) % (NODES - 2)
+        taps = (((source + 1) % NODES,)
+                if multicast and i % 3 == 0 else ())
+        messages.append(Message(
+            message_id=i, source=source,
+            destination=(source + distance) % NODES,
+            data_flits=2 + (i % 5), extra_destinations=taps))
+    ring.submit_all(messages)
+    return ring
+
+
+def parking_run(seed: int, plan: FaultPlan | None, scenario: str,
+                multicast: bool, snapshot_at: float, *,
+                oracle: bool) -> tuple[tuple, dict, tuple]:
+    """Run to a mid-run snapshot, run the restored copy to the horizon;
+    return its observables, the manifest and the watchdog incidents."""
+    ring = build_parking_ring(seed, plan, scenario, multicast,
+                              oracle=oracle)
+    ring.sim.run(until=snapshot_at)
+    restored, manifest = load_snapshot_bytes(save_snapshot_bytes(ring))
+    assert isinstance(restored.routing._advance_headers, AlwaysPoll) \
+        == oracle
+    restored.sim.run(until=PARKING_HORIZON)
+    manifest.pop("meta", None)
+    incidents = () if restored.watchdog is None else tuple(
+        restored.watchdog.incidents.entries)
+    return observables(restored), manifest, incidents
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**16),
+       plan=fault_plans(),
+       scenario=st.sampled_from(sorted(PARKING_SCENARIOS)),
+       multicast=st.booleans(),
+       snapshot_at=st.integers(min_value=1, max_value=80))
+def test_header_parking_matches_always_poll(seed, plan, scenario,
+                                            multicast, snapshot_at):
+    """Parking stalled headers changes only how often they are polled."""
+    parked = parking_run(seed, plan, scenario, multicast,
+                         float(snapshot_at), oracle=False)
+    polled = parking_run(seed, plan, scenario, multicast,
+                         float(snapshot_at), oracle=True)
+    assert parked == polled
+
+
+@pytest.mark.parametrize("scenario", sorted(PARKING_SCENARIOS))
+def test_parking_scenarios_exercise_parked_headers(scenario):
+    """Coverage guard: every scenario parks headers and later wakes some
+    of them, so the oracle comparison above is not vacuous."""
+    ring = build_parking_ring(3, None, scenario, True, oracle=False)
+    routing = ring.routing
+    parked_ticks = woken = 0
+    before: dict[int, tuple[int, int, int]] = {}
+    while ring.sim.now < PARKING_HORIZON:
+        ring.sim.run(until=ring.sim.now + 1.0)
+        parked_ticks += len(routing._parked)
+        # A live header whose park entry changed or vanished was re-polled.
+        woken += sum(1 for bus_id, park in before.items()
+                     if bus_id in routing.buses
+                     and routing._parked.get(bus_id) != park)
+        before = dict(routing._parked)
+    assert parked_ticks > 0 and woken > 0
+
+
+def test_watchdog_tears_down_a_parked_bus():
+    """The watchdog scenario force-tears-down a bus while it is parked,
+    and the run still matches the always-poll oracle."""
+    ring = build_parking_ring(3, None, "watchdog", False, oracle=False)
+    routing = ring.routing
+    torn_while_parked = []
+    force_teardown = routing.force_teardown
+
+    def spy(bus_id: int) -> bool:
+        was_parked = bus_id in routing._parked
+        done = force_teardown(bus_id)
+        if done and was_parked:
+            torn_while_parked.append(bus_id)
+        return done
+
+    routing.force_teardown = spy
+    ring.drain()
+    assert torn_while_parked
+    assert all(bus_id not in routing._parked for bus_id in torn_while_parked)
+    oracle = build_parking_ring(3, None, "watchdog", False, oracle=True)
+    oracle.drain()
+    assert observables(ring) == observables(oracle)
+
+
+def test_resume_from_parked_snapshot_is_bit_exact():
+    """Snapshots drop the park map; a run resumed from a snapshot taken
+    while headers are parked matches the uninterrupted run bit for bit."""
+    ring = build_parking_ring(3, None, "sync", True, oracle=False)
+    while not ring.routing._parked:
+        ring.sim.run(until=ring.sim.now + 1.0)
+    restored, _ = load_snapshot_bytes(save_snapshot_bytes(ring))
+    assert restored.routing._parked == {}
+    for run in (ring, restored):
+        run.sim.run(until=PARKING_HORIZON)
+    assert observables(restored) == observables(ring)
+    # The restored run re-polled the headers the original skipped.
+    assert restored.routing.lane_picks > ring.routing.lane_picks
+
+
+def test_grid_pickled_without_col_epoch_restores():
+    """A snapshot from before column epochs existed restores with zeroed
+    epochs and resumes exactly."""
+    uninterrupted = build_parking_ring(5, None, "sync", False, oracle=False)
+    uninterrupted.sim.run(until=PARKING_HORIZON)
+    ring = build_parking_ring(5, None, "sync", False, oracle=False)
+    ring.sim.run(until=40.0)
+    del ring.grid.col_epoch
+    restored, _ = load_snapshot_bytes(save_snapshot_bytes(ring))
+    assert restored.grid.col_epoch == [0] * NODES
+    restored.sim.run(until=PARKING_HORIZON)
+    assert observables(restored) == observables(uninterrupted)

@@ -206,6 +206,32 @@ def test_world_rotation_surgery_matches_signature_transform(scenario):
                 scenario.label, rotation)
 
 
+def test_rotate_drops_parked_headers():
+    """Park entries name segment columns, so rotation clears the park
+    map (a pure cache) instead of relabelling it."""
+    scenario = Scenario("4x1-wedge", 4, 1, ((0, 2), (1, 3), (2, 0), (3, 1)))
+    config = scenario.config()
+    messages = scenario.messages()
+    cloner = _Cloner(config, messages)
+    world = _World(config, messages, ExploreOptions())
+    world.apply(("tick",))
+    world.apply(("tick",))
+    assert len(world.engine._parked) == 4  # every header blocked
+    world.rotate(1)
+    assert world.engine._parked == {}
+    # Pickled clones never carry park entries: the twin is the
+    # always-poll reference.  Failing a column some header now faces
+    # must fault-Nack that header in both worlds, which a stale entry
+    # naming its pre-rotation column would hide.
+    twin = cloner.loads(cloner.dumps(world))
+    for each in (world, twin):
+        each.apply(("fail", 2, 0))
+        for _ in range(3):
+            each.apply(("tick",))
+    assert world.raw_signature() == twin.raw_signature()
+    assert world.engine.fault_nacked == 1
+
+
 def test_rotate_rejects_non_symmetry():
     scenario = Scenario("4x1-cross", 4, 1, ((0, 2), (1, 3)))
     world = _World(scenario.config(), scenario.messages(), ExploreOptions())
