@@ -109,10 +109,13 @@ def validate_ports(grid: SegmentGrid, buses: dict[int, VirtualBus]) -> None:
     superposition is never observable at this level; observing one would
     indicate an engine bug.
 
-    This runs every monitor cycle, so it walks only the *occupied* ports
-    (a free port reads ``000``, which is legal and drives nothing) and
-    checks codes directly instead of materialising a :class:`PortView`
-    per port.  Semantically identical to validating ``all_ports``:
+    It walks only the *occupied* ports (a free port reads ``000``, which
+    is legal and drives nothing) and checks codes directly instead of
+    materialising a :class:`PortView` per port.  Grid/bus agreement plus
+    bus shapes imply it (see :mod:`repro.core.invariants`), so the
+    invariant monitor calls it only from its reference sequence; the
+    explorer and the tests call it directly.
+    Semantically identical to validating ``all_ports``:
     single-source codes from :func:`~repro.core.status.code_for` are
     always Table 1 legal, so the only detectable violations are
     grid/bus disagreement, over-distance connections, and multi-driven

@@ -1,10 +1,11 @@
-"""Exact gates on the routing engine's deterministic work counters.
+"""Exact gates on the ring's deterministic work counters.
 
 Wall-clock speed varies from host to host; the number of extension-lane
-picks a fixed-seed run performs does not.  Pinning it exactly (the way
+picks a fixed-seed run performs does not, nor does the number of held
+hops the invariant monitor walks.  Pinning them exactly (the way
 ``benchmarks/perf/baseline.json`` pins saturation rates) turns a change
-in how often stalled headers are polled into a reviewed test edit
-instead of a wall-clock impression.
+in how often stalled headers are polled, or an extra monitor walk, into
+a reviewed test edit instead of a wall-clock impression.
 """
 
 from __future__ import annotations
@@ -18,6 +19,12 @@ from repro.traffic import ArrivalSchedule, bernoulli_schedule, replay_on_ring
 #: on column epochs (DESIGN.md §9, P4) leaves only the polls whose head
 #: or next column changed.
 OVERLOAD_LANE_PICKS = 3_972
+
+#: ``checks_run`` and ``hops_checked`` of :func:`overloaded_ring`'s
+#: invariant monitor: one full-strength check per ``cycle_period``, each
+#: one fused pass over every held hop (DESIGN.md §9, P5).
+OVERLOAD_CHECKS_RUN = 1_072
+OVERLOAD_HOPS_CHECKED = 60_068
 
 
 def overloaded_ring(messages: int = 256, seed: int = 7) -> RMBRing:
@@ -42,6 +49,13 @@ def test_overload_lane_picks_pinned():
     ring = overloaded_ring()
     assert ring.stats().summary()["completed"] == 256
     assert ring.routing.lane_picks == OVERLOAD_LANE_PICKS
+
+
+def test_overload_monitor_work_pinned():
+    ring = overloaded_ring()
+    assert ring.check_level == "full"
+    assert ring.monitor.checks_run == OVERLOAD_CHECKS_RUN
+    assert ring.monitor.hops_checked == OVERLOAD_HOPS_CHECKED
 
 
 def test_lane_picks_starts_at_zero():
