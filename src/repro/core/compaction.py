@@ -447,8 +447,11 @@ class CompactionEngine:
         escape move in its next work slot (fault model F2).  Downward
         moves are preferred (they compose with normal compaction); an
         upward move is the fallback for a bus trapped with no healthy
-        lane below.
+        lane below.  A fault-free grid has nothing to evacuate, which the
+        O(1) faulty count settles without reading the column's health.
         """
+        if self.grid.faulty_count() == 0:
+            return 0
         moved = 0
         for lane in range(self.grid.lanes):
             if self.grid.health(segment, lane) is not PortHealth.DYING:

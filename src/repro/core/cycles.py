@@ -31,19 +31,30 @@ The rules themselves are declared once, as a table, in
 :mod:`repro.protocol.handshake`; this module executes that table on the
 simulator's clock domains.  :mod:`repro.protocol.explore` replays the
 same table exhaustively to machine-check Lemma 1.
+
+Every asynchronous clock edge runs :meth:`CycleController.on_edge`, so the
+edge path executes the table row directly: the controller holds its
+current :class:`~repro.protocol.handshake.HandshakeRule` (``phase`` is a
+view of it), evaluates the one shared guard
+(:func:`~repro.protocol.handshake.guard_satisfied`) with the neighbouring
+controllers themselves as the status wires, and applies the row's actions
+in place — no snapshot tuples, no enum hashing, and a disabled trace costs
+one flag test.  :func:`~repro.protocol.handshake.handshake_step` remains
+the pure specification the explorer replays; the tests hold ``on_edge`` to
+it for every phase and every neighbour wire combination.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.protocol.handshake import (
     HANDSHAKE_TABLE,
+    RULE_OF_PHASE,
     HandshakePhase,
-    HandshakeState,
-    NeighbourBits,
-    handshake_step,
+    HandshakeRule,
+    guard_satisfied,
 )
 from repro.sim.clock import ClockDomain
 from repro.sim.trace import TraceRecorder
@@ -61,6 +72,12 @@ __all__ = [
 #: Callback the compaction engine registers: ``work(inc_index, cycle)``.
 WorkFn = Callable[[int, int], None]
 
+#: Rule number -> the row that governs the phase it leads to.  Keyed by
+#: the rule's int so the per-edge lookup never hashes an enum.
+_NEXT_RULE: Dict[int, HandshakeRule] = {
+    rule.rule: RULE_OF_PHASE[rule.next_phase] for rule in HANDSHAKE_TABLE
+}
+
 
 class CycleController:
     """The odd/even handshake FSM of a single INC.
@@ -68,7 +85,14 @@ class CycleController:
     One transition is evaluated per local clock edge — a conservative model
     of the INC's sequential logic.  Neighbour bits are read directly from
     the neighbouring controllers, modelling the dedicated status wires of
-    Table 2.
+    Table 2: a controller's ``od``/``oc`` attributes *are* its wires (it
+    satisfies :class:`~repro.protocol.handshake.StatusWires`).
+
+    The FSM's state is its current table row, ``_rule``; ``phase`` reads
+    (and sets) it as a :class:`~repro.protocol.handshake.HandshakePhase`.
+    ``_tracing`` caches whether the trace can retain anything.  Pickles
+    carry ``phase`` and never the two cached fields, so checkpoints keep
+    the attribute set they have always had.
     """
 
     def __init__(self, index: int, work: WorkFn,
@@ -77,13 +101,36 @@ class CycleController:
         self.od = False
         self.oc = False
         self.cycle = 0
-        self.phase = HandshakePhase.WORK
+        self._rule = RULE_OF_PHASE[HandshakePhase.WORK]
         self.transitions = 0
         self._work = work
         self._trace = trace
+        self._tracing = trace is not None and trace.enabled
         self.left: Optional["CycleController"] = None
         self.right: Optional["CycleController"] = None
         self._domain: Optional[ClockDomain] = None
+
+    @property
+    def phase(self) -> HandshakePhase:
+        """The handshake phase this INC's FSM is in."""
+        return self._rule.phase
+
+    @phase.setter
+    def phase(self, phase: HandshakePhase) -> None:
+        self._rule = RULE_OF_PHASE[phase]
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        del state["_rule"], state["_tracing"]
+        state["phase"] = self.phase
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        state = dict(state)
+        self.phase = state.pop("phase")
+        self.__dict__.update(state)
+        trace = self._trace
+        self._tracing = trace is not None and trace.enabled
 
     def wire(self, left: "CycleController", right: "CycleController") -> None:
         """Connect the neighbour status wires."""
@@ -104,31 +151,35 @@ class CycleController:
         """Evaluate at most one FSM transition (called on each clock edge).
 
         The transition itself is table data
-        (:data:`repro.protocol.handshake.HANDSHAKE_TABLE`); this method
-        only supplies the neighbour wires and runs the fired rule's side
-        effects (datapath work, cycle count, trace).
+        (:data:`repro.protocol.handshake.HANDSHAKE_TABLE`): this method
+        tests the cached row's guard against the neighbour wires, applies
+        the row's ``sets_od``/``sets_oc``/``next_phase``, and runs its side
+        effects (datapath work, cycle count, trace) — the same successor
+        :func:`~repro.protocol.handshake.handshake_step` computes.
         """
-        if self.left is None or self.right is None:
+        left = self.left
+        right = self.right
+        if left is None or right is None:
             raise ConfigurationError(
                 f"cycle controller {self.index} not wired to neighbours"
             )
-        after, rule = handshake_step(
-            HandshakeState(self.phase, self.od, self.oc),
-            NeighbourBits(self.left.od, self.left.oc),
-            NeighbourBits(self.right.od, self.right.oc),
-        )
-        if rule is None:
+        rule = self._rule
+        if not guard_satisfied(rule, left, right):
             return  # guard held: wait for the neighbours
         if rule.does_work:
             self._work(self.index, self.cycle)
-        self.od = after.od
-        self.oc = after.oc
+        if rule.sets_od is not None:
+            self.od = rule.sets_od
+        if rule.sets_oc is not None:
+            self.oc = rule.sets_oc
         if rule.advances_cycle:
             self.cycle += 1
             self.transitions += 1
-            self._record("cycle_switch")
-        self.phase = after.phase
-        self._record("phase", phase=self.phase.value)
+            if self._tracing:
+                self._record("cycle_switch")
+        self._rule = _NEXT_RULE[rule.rule]
+        if self._tracing:
+            self._record("phase", phase=rule.next_phase.value)
 
     def parity(self) -> int:
         """Current cycle parity (0 = even, 1 = odd)."""

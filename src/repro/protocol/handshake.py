@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Protocol, Tuple
 
 
 class HandshakePhase(enum.Enum):
@@ -53,6 +53,17 @@ class NeighbourBits(NamedTuple):
 
     od: bool  # LD or RD
     oc: bool  # LC or RC
+
+
+class StatusWires(Protocol):
+    """Anything exposing one INC's OD/OC bits: a :class:`NeighbourBits`
+    snapshot, or a live :class:`~repro.core.cycles.CycleController`."""
+
+    @property
+    def od(self) -> bool: ...
+
+    @property
+    def oc(self) -> bool: ...
 
 
 @dataclass(frozen=True)
@@ -123,8 +134,8 @@ BITS_OF_PHASE: Dict[HandshakePhase, Tuple[bool, bool]] = {
 }
 
 
-def guard_satisfied(rule: HandshakeRule, left: NeighbourBits,
-                    right: NeighbourBits) -> bool:
+def guard_satisfied(rule: HandshakeRule, left: StatusWires,
+                    right: StatusWires) -> bool:
     """True when both neighbours' wires satisfy the rule's guard."""
     if rule.requires_od is not None and not (
             left.od == rule.requires_od == right.od):
