@@ -59,6 +59,7 @@ def check_grid_bus_agreement(
             )
         seen[(segment, lane)] = bus_id
     for bus in buses.values():
+        check_held_within_hops(bus)
         for hop in bus.held_hops():
             key = (bus.segment_index(hop), bus.hops[hop])
             if seen.get(key) != bus.bus_id:
@@ -70,6 +71,15 @@ def check_grid_bus_agreement(
     if seen:
         raise InvariantViolation(
             f"grid holds segments owned by no live hop: {sorted(seen)}"
+        )
+
+
+def check_held_within_hops(bus: VirtualBus) -> None:
+    """A bus cannot still hold more hops than it has."""
+    if bus.released_from is not None and bus.released_from > len(bus.hops):
+        raise InvariantViolation(
+            f"{bus.describe()}: released_from {bus.released_from} lies "
+            f"past its {len(bus.hops)} hops"
         )
 
 
@@ -103,6 +113,7 @@ class LaneMonotonicity:
                 grid: Optional[SegmentGrid] = None) -> None:
         live_keys = set()
         for bus in buses.values():
+            check_held_within_hops(bus)
             for hop in bus.held_hops():
                 key = (bus.bus_id, hop)
                 live_keys.add(key)

@@ -24,6 +24,7 @@ from repro.core import Message, RMBConfig, RMBRing
 from repro.core.flits import MessageRecord
 from repro.core.invariants import (
     InvariantMonitor,
+    LaneMonotonicity,
     check_bus_shapes,
     check_grid_bus_agreement,
 )
@@ -67,6 +68,9 @@ def assert_matches_reference(monitor: InvariantMonitor):
     fused = outcome(monitor.check)
     reference = outcome(twin.check_reference)
     assert fused == reference
+    # Every corruption is reported as a violation, never as whatever
+    # exception the walk happened to trip over.
+    assert fused is None or fused[0] is InvariantViolation, fused
     assert monitor.monotonicity._last == twin.monotonicity._last
     assert monitor.checks_run == twin.checks_run
     return fused
@@ -82,8 +86,12 @@ def _hops(state):
 
 
 def _held(state):
+    """Held hops on an in-range lane: the cells a corruption may touch
+    through the grid after an earlier corruption bent the bus."""
+    lanes = state.grid.lanes
     return [(bus, hop) for bus in state.buses.values()
-            for hop in bus.held_hops() if hop < len(bus.hops)]
+            for hop in bus.held_hops()
+            if hop < len(bus.hops) and 0 <= bus.hops[hop] < lanes]
 
 
 def _cells(state, occupied):
@@ -129,9 +137,14 @@ def rekey_bus(data, state):
     if state.buses:
         key = data.draw(st.sampled_from(sorted(state.buses)))
         state.buses[key + 1000] = state.buses.pop(key)
-        if data.draw(st.booleans()):
-            grid = state.grid
-            for segment, lane in grid.lanes_of(key).items():
+        grid = state.grid
+        cells = grid.lanes_of(key).items()
+        # The grid follows only where it can re-claim: an earlier
+        # corruption may have made one of the cells faulty.
+        if data.draw(st.booleans()) and all(
+                grid.health(segment, lane) is PortHealth.OK
+                for segment, lane in cells):
+            for segment, lane in cells:
                 grid.release(segment, lane, key)
                 grid.claim(segment, lane, key + 1000)
 
@@ -183,7 +196,8 @@ def overshoot_span(data, state):
             lane = bus.hops[-1] if bus.hops else 0
             bus.hops.append(lane)
             segment = bus.segment_index(len(bus.hops) - 1)
-            if data.draw(st.booleans()) and state.grid.is_usable(segment, lane):
+            if (data.draw(st.booleans()) and 0 <= lane < state.grid.lanes
+                    and state.grid.is_usable(segment, lane)):
                 state.grid.claim(segment, lane, bus.bus_id)
 
 
@@ -375,6 +389,42 @@ def test_fused_check_reports_first_reference_violation():
     assert outcome(monitor.check) == expected
 
 
+def released_past_hops() -> State:
+    """One bus holding two hops but claiming to hold four."""
+    state = State(SegmentGrid(8, 3), {}, None)
+    message = Message(0, 1, 5, data_flits=1)
+    bus = VirtualBus(3, message, MessageRecord(message), 8)
+    for hop, lane in enumerate([1, 1]):
+        state.grid.claim(1 + hop, lane, 3)
+        bus.hops.append(lane)
+    bus.released_from = 4
+    state.buses[3] = bus
+    return state
+
+
+def test_agreement_names_a_bus_released_past_its_hops():
+    state = released_past_hops()
+    raised = outcome(lambda: check_grid_bus_agreement(*state[:2]))
+    assert raised is not None and raised[0] is InvariantViolation
+    assert state.buses[3].describe() in raised[1]
+    assert "released_from 4" in raised[1]
+
+
+def test_monotonicity_names_a_bus_released_past_its_hops():
+    state = released_past_hops()
+    tracker = LaneMonotonicity()
+    raised = outcome(lambda: tracker.observe(state.buses, state.grid))
+    assert raised is not None and raised[0] is InvariantViolation
+    assert state.buses[3].describe() in raised[1]
+
+
+def test_fused_check_reports_a_bus_released_past_its_hops():
+    state = released_past_hops()
+    monitor = InvariantMonitor(*state)
+    assert outcome(monitor.check) == outcome(
+        lambda: check_grid_bus_agreement(*state[:2]))
+
+
 # ---------------------------------------------------------------------------
 # Agreement + shapes imply the port checks
 # ---------------------------------------------------------------------------
@@ -384,9 +434,8 @@ def test_fused_check_reports_first_reference_violation():
 def test_agreement_and_shapes_imply_valid_ports(state, data):
     if data.draw(st.booleans()):
         corrupt(data, state)
-    # A released_from past the hop list fails agreement with an
-    # IndexError rather than an InvariantViolation; either way the
-    # premise does not hold.
+    # A released_from past the hop list fails agreement like any other
+    # corruption, so the premise does not hold.
     if (outcome(lambda: check_grid_bus_agreement(state.grid, state.buses))
             or outcome(lambda: check_bus_shapes(state.buses,
                                                 state.grid.lanes))):
