@@ -2,15 +2,22 @@
 
 This is the acceptance scenario for the hot-path performance work: a
 full ring (routing + compaction + probes) under uniform Bernoulli
-traffic, measured in *kernel events per wall second*.  Two rows are
+traffic, measured in *kernel events per wall second*.  Three rows are
 reported:
 
 * ``load_sweep`` — the optimized operating point (tracing disabled,
   ``check_level="sampled"`` when the tree supports it);
 * ``load_sweep_full_checks`` — the same workload with the invariant
-  monitor at full strength, isolating the checker's share of the cost.
+  monitor at full strength, isolating the checker's share of the cost;
+* ``load_sweep_async`` (informational) — the same ring, traffic and
+  checks with ``synchronous=False``: every INC on its own skewed clock,
+  running the odd/even handshake and per-INC ``inc_pass`` compaction.
+  Its kernel events are mostly clock edges (``nodes / (cycle_period /
+  5)`` = 160 per simulated tick), so draining the overloaded sweep
+  (~130k ticks) would take ~20M events; the row covers the first
+  ``ASYNC_HORIZON`` ticks instead of running to drained.
 
-On trees that predate ``check_level`` both rows run with full checks,
+On trees that predate ``check_level`` every row runs with full checks,
 which is exactly the pre-PR baseline configuration.
 
 With ``--backend batch`` the same workload replays through the
@@ -47,12 +54,16 @@ FLITS = 8
 DURATION = 400
 RATE = 0.02
 SEED = 7
+#: Simulated ticks the asynchronous row runs (arrivals end at DURATION).
+ASYNC_HORIZON = 4_000
 
 _LAST: dict[str, float] = {}
+_ASYNC: dict[str, float] = {}
 
 
-def _run_ring(check_level: str) -> int:
-    config = RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0)
+def _run_ring(check_level: str, synchronous: bool = True) -> int:
+    config = RMBConfig(nodes=NODES, lanes=LANES, cycle_period=2.0,
+                       synchronous=synchronous)
     kwargs = {}
     if supports_kwarg(RMBRing, "check_level"):
         kwargs["check_level"] = check_level
@@ -68,6 +79,11 @@ def _run_ring(check_level: str) -> int:
     rng = RandomStream(SEED, name="perf")
     schedule = bernoulli_schedule(NODES, DURATION, RATE, FLITS, rng)
     replay_on_ring(ring, schedule)
+    if not synchronous:
+        ring.run(ASYNC_HORIZON)
+        _ASYNC["messages"] = float(ring.stats().completed)
+        _ASYNC["sim_ticks"] = float(ring.sim.now)
+        return events()
     ring.run(DURATION)
     ring.drain(max_ticks=2_000_000)
     if obs is not None:
@@ -108,6 +124,10 @@ def load_sweep_full_checks() -> int:
     return _run_ring("full")
 
 
+def load_sweep_async() -> int:
+    return _run_ring("sampled", synchronous=False)
+
+
 def batch_load_sweep() -> int:
     return _run_batch()
 
@@ -141,9 +161,15 @@ def main(argv: list[str] | None = None) -> None:
     results = {
         "load_sweep": time_scenario(load_sweep),
         "load_sweep_full_checks": time_scenario(load_sweep_full_checks),
+        "load_sweep_async": time_scenario(load_sweep_async),
     }
     emit("end2end", results, extra={
         "scenario": _scenario_block(),
+        "async_scenario": {
+            "synchronous": False, "horizon_ticks": ASYNC_HORIZON,
+            "messages_completed": _ASYNC.get("messages", 0.0),
+            "sim_ticks": _ASYNC.get("sim_ticks", 0.0),
+        },
         "metric_note": "ops_per_sec is kernel events per wall second",
     })
 
